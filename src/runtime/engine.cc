@@ -1,12 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <climits>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -19,13 +14,6 @@
 namespace diablo::runtime {
 
 namespace {
-
-/// Stable ordered map, the legacy aggregation path of the wide
-/// operators (EngineConfig::hash_aggregation = false): O(log n) deep
-/// Value::Compare per inserted row. The default path aggregates through
-/// KeyedAccumulator with one final per-partition sort instead; both
-/// produce byte-identical output (asserted in hashagg_test.cc).
-using OrderedGroups = std::map<Value, ValueVec>;
 
 /// Payload of a Distinct accumulator entry: key presence is the datum.
 struct NoPayload {};
@@ -339,6 +327,193 @@ bool ChainFullyKernelized(const FusedChain& chain) {
   return true;
 }
 
+/// `v ⊕ operand` as a filter predicate: errors unless the result is a
+/// bool.
+StatusOr<bool> EvalPredicate(BinOp op, const Value& v, const Value& operand) {
+  DIABLO_ASSIGN_OR_RETURN(Value result, EvalBinOp(op, v, operand));
+  if (!result.is_bool()) {
+    return Status::RuntimeError(StrCat(
+        "filter predicate evaluated to non-bool: ", result.ToString()));
+  }
+  return result.AsBool();
+}
+
+/// The key of a keyed (k, v) pair row; errors on any other shape.
+StatusOr<const Value*> RowKey(const Value& row) {
+  if (!row.is_tuple() || row.tuple().size() != 2) {
+    return Status::RuntimeError(
+        StrCat("keyed operator applied to non-pair row: ", row.ToString()));
+  }
+  return &row.tuple()[0];
+}
+
+// ---------------------------------------------------------------------
+// Wide-operator bodies. The forward wave's tasks and the operator's
+// lineage replay (fed by ScatterToLost) call the same body, so a rebuilt
+// partition equals the original by construction. They live in this
+// translation unit, next to the waves that call them, so the hot loops
+// inline as before.
+
+/// Lineage replay of one shuffle scatter, restricted to the lost
+/// destinations: every source row of `side` runs through its pending
+/// chain and each produced row's key is hashed ONCE; rows bound for
+/// destination lost[i] land in slot i with their hash. Scanning the
+/// source partitions in order reproduces each lost destination's
+/// arrival order exactly. When `source_ends` is non-null,
+/// (*source_ends)[i] receives the end offset of each source partition's
+/// rows within slot i — the map-side combine boundaries.
+StatusOr<std::vector<HashedVec>> ScatterToLost(
+    const Dataset& side, const std::vector<int>& lost, int out_parts,
+    int64_t* work, std::vector<std::vector<size_t>>* source_ends = nullptr) {
+  std::vector<int> slot_of(out_parts, -1);
+  for (size_t i = 0; i < lost.size(); ++i) {
+    slot_of[lost[i]] = static_cast<int>(i);
+  }
+  std::vector<HashedVec> rows(lost.size());
+  if (source_ends != nullptr) source_ends->assign(lost.size(), {});
+  for (int s = 0; s < side.num_partitions(); ++s) {
+    for (const Value& row : side.partition(s)) {
+      *work += 1;
+      DIABLO_RETURN_IF_ERROR(ApplyChain(
+          side.chain(), 0, row, nullptr, [&](const Value& v) -> Status {
+            DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
+            const size_t h = key->Hash();
+            const int slot = slot_of[HashDestination(h, out_parts)];
+            if (slot >= 0) rows[slot].push_back(HashedRow{h, v});
+            return Status::OK();
+          }));
+    }
+    if (source_ends != nullptr) {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        (*source_ends)[i].push_back(rows[i].size());
+      }
+    }
+  }
+  return rows;
+}
+
+/// groupByKey: groups shuffled rows [lo, hi) by key — each bag in
+/// arrival order — and emits (key, bag) rows sorted by key. Returns the
+/// accumulator footprint (the task's memory watermark).
+int64_t GroupRows(const HashedVec& rows, size_t lo, size_t hi,
+                  ValueVec* out) {
+  KeyedAccumulator<ValueVec> groups(hi - lo);
+  for (size_t i = lo; i < hi; ++i) {
+    const ValueVec& kv = rows[i].row.tuple();
+    groups.FindOrCreate(rows[i].hash, kv[0]).payload.push_back(kv[1]);
+  }
+  const auto bytes = static_cast<int64_t>(groups.MemoryBytes());
+  groups.SortByKey();
+  out->reserve(out->size() + groups.size());
+  for (auto& e : groups.entries()) {
+    out->push_back(Value::MakePair(std::move(e.key),
+                                   Value::MakeBag(std::move(e.payload))));
+  }
+  return bytes;
+}
+
+/// reduceByKey: folds `v` into `key`'s entry; the first value seeds it.
+Status FoldInto(KeyedAccumulator<Value>* acc, size_t hash, const Value& key,
+                const Value& v, const Engine::ReduceFn& fn) {
+  auto ref = acc->FindOrCreate(hash, key);
+  if (ref.inserted) {
+    ref.payload = v;
+    return Status::OK();
+  }
+  DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, v));
+  return Status::OK();
+}
+
+/// reduceByKey: folds (key, value) rows [lo, hi) into `acc` in arrival
+/// order, trusting the hashes they carry.
+Status FoldRows(const HashedVec& rows, size_t lo, size_t hi,
+                const Engine::ReduceFn& fn, KeyedAccumulator<Value>* acc) {
+  for (size_t i = lo; i < hi; ++i) {
+    const ValueVec& kv = rows[i].row.tuple();
+    DIABLO_RETURN_IF_ERROR(FoldInto(acc, rows[i].hash, kv[0], kv[1], fn));
+  }
+  return Status::OK();
+}
+
+/// reduceByKey: drains `acc` sorted by key as (key, value) rows — plain
+/// for the reduce output, hashed for the combine output bound for the
+/// shuffle.
+void EmitSortedPairs(KeyedAccumulator<Value>* acc, ValueVec* out) {
+  acc->SortByKey();
+  out->reserve(out->size() + acc->size());
+  for (auto& e : acc->entries()) {
+    out->push_back(Value::MakePair(std::move(e.key), std::move(e.payload)));
+  }
+}
+
+void EmitSortedPairs(KeyedAccumulator<Value>* acc, HashedVec* out) {
+  acc->SortByKey();
+  out->reserve(out->size() + acc->size());
+  for (auto& e : acc->entries()) {
+    out->push_back(HashedRow{
+        e.hash, Value::MakePair(std::move(e.key), std::move(e.payload))});
+  }
+}
+
+/// join: builds from the left rows in arrival order and probes with the
+/// right rows in arrival order; the output sequence is the probe order,
+/// so no sort is needed. Returns probes plus emitted rows (reduce work).
+int64_t JoinRows(const HashedVec& left, const HashedVec& right,
+                 ValueVec* out) {
+  KeyedAccumulator<ValueVec> build(left.size());
+  for (const HashedRow& hr : left) {
+    const ValueVec& kv = hr.row.tuple();
+    build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
+  }
+  int64_t work = 0;
+  for (const HashedRow& hr : right) {
+    const ValueVec& kv = hr.row.tuple();
+    work += 1;
+    ValueVec* lvs = build.Find(hr.hash, kv[0]);
+    if (lvs == nullptr) continue;
+    for (const Value& lv : *lvs) {
+      out->push_back(Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
+      work += 1;
+    }
+  }
+  return work;
+}
+
+/// coGroup: (key, (left bag, right bag)) for every key on either side,
+/// bags in arrival order, rows sorted by key.
+void CoGroupRows(const HashedVec& left, const HashedVec& right,
+                 ValueVec* out) {
+  KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(left.size() +
+                                                         right.size());
+  for (const HashedRow& hr : left) {
+    const ValueVec& kv = hr.row.tuple();
+    groups.FindOrCreate(hr.hash, kv[0]).payload.first.push_back(kv[1]);
+  }
+  for (const HashedRow& hr : right) {
+    const ValueVec& kv = hr.row.tuple();
+    groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
+  }
+  groups.SortByKey();
+  out->reserve(groups.size());
+  for (auto& e : groups.entries()) {
+    out->push_back(Value::MakePair(
+        std::move(e.key),
+        Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
+                        Value::MakeBag(std::move(e.payload.second)))));
+  }
+}
+
+/// distinct: the distinct keys of (row, unit) rows, sorted.
+void DistinctRows(const HashedVec& rows, ValueVec* out) {
+  KeyedAccumulator<NoPayload> seen(rows.size());
+  for (const HashedRow& hr : rows) {
+    seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
+  }
+  seen.SortByKey();
+  out->reserve(seen.size());
+  for (auto& e : seen.entries()) out->push_back(std::move(e.key));
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config)
@@ -349,9 +524,9 @@ Engine::Engine(EngineConfig config)
   if (config_.remote != nullptr) {
     // The coordinator forks workers mid-wave; the driver must hold no
     // extra threads at fork time (a forked child inherits only the
-    // calling thread, so a pool worker's locks would be orphaned).
+    // calling thread, so a pool worker's locks would be orphaned). One
+    // host thread means no pool is ever created.
     config_.host_threads = 1;
-    config_.persistent_pool = false;
   }
   // Real kills recover through lineage, so the recompute closures must
   // survive even with every simulated fault class disarmed.
@@ -400,50 +575,11 @@ Status Engine::RunPerPartition(int n,
     for (int i = 0; i < n; ++i) DIABLO_RETURN_IF_ERROR(fn(i));
     return Status::OK();
   }
-  if (config_.persistent_pool) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<WorkerPool>(config_.host_threads);
-    }
-    pool_tasks_pending_ += n;
-    return pool_->Run(n, fn);
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<WorkerPool>(config_.host_threads);
   }
-  // Spawn-per-wave baseline (AB7): fresh threads every call, same
-  // deterministic error selection as the pool — every partition below
-  // the lowest known failure runs, and the lowest-indexed failing
-  // partition's error is reported regardless of the thread race.
-  std::atomic<int> next{0};
-  std::atomic<int> error_bound{INT_MAX};
-  std::mutex mu;
-  int err_index = INT_MAX;
-  Status error;
-  auto worker = [&] {
-    for (;;) {
-      int i = next.fetch_add(1);
-      if (i >= n) return;
-      if (i >= error_bound.load()) continue;
-      Status st = fn(i);
-      if (!st.ok()) {
-        int cur = error_bound.load();
-        while (i < cur && !error_bound.compare_exchange_weak(cur, i)) {
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (i < err_index) {
-          err_index = i;
-          error = std::move(st);
-        }
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&worker, t] {
-      SetCurrentTraceWorker(t + 1);
-      worker();
-    });
-  }
-  for (auto& t : pool) t.join();
-  return error;
+  pool_tasks_pending_ += n;
+  return pool_->Run(n, fn);
 }
 
 Status Engine::RunTaskWave(const std::string& label, int stage,
@@ -887,248 +1023,100 @@ std::shared_ptr<const LineageNode> Engine::MakeLineage(
   return node;
 }
 
+// Narrow operators never run a wave of their own: each appends to the
+// dataset's pending fused chain, which executes inside the next stage
+// boundary.
+
 StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
                               const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kMap;
-    op.label = label;
-    op.map = fn;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        const ValueVec& rows = src.partition(p);
-        out[p].clear();
-        out[p].reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, fn(row));
-          out[p].push_back(std::move(v));
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats map_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  map_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(map_stats), rec);
-  auto lineage = MakeLineage(
-      "map", label, {src.lineage()},
-      [src, fn](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        rebuilt.reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, fn(row));
-          rebuilt.push_back(std::move(v));
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kMap;
+  op.label = label;
+  op.map = fn;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::MapValues(const Dataset& in, const MapFn& fn,
                                     const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kMapValues;
-    op.label = label;
-    op.map = fn;
-    return in.WithOp(std::move(op));
-  }
-  return Map(
-      in,
-      [fn](const Value& row) -> StatusOr<Value> {
-        if (!row.is_tuple() || row.tuple().size() != 2) {
-          return Status::RuntimeError(
-              StrCat("mapValues applied to non-pair row: ", row.ToString()));
-        }
-        DIABLO_ASSIGN_OR_RETURN(Value v, fn(row.tuple()[1]));
-        return Value::MakePair(row.tuple()[0], std::move(v));
-      },
-      label);
+  FusedOp op;
+  op.kind = FusedOp::Kind::kMapValues;
+  op.label = label;
+  op.map = fn;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::Filter(const Dataset& in, const PredFn& pred,
                                  const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kFilter;
-    op.label = label;
-    op.pred = pred;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        for (const Value& row : src.partition(p)) {
-          DIABLO_ASSIGN_OR_RETURN(bool keep, pred(row));
-          if (keep) out[p].push_back(row);
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats filter_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  filter_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(filter_stats), rec);
-  auto lineage = MakeLineage(
-      "filter", label, {src.lineage()},
-      [src, pred](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(bool keep, pred(row));
-          if (keep) rebuilt.push_back(row);
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kFilter;
+  op.label = label;
+  op.pred = pred;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::FlatMap(const Dataset& in, const FlatMapFn& fn,
                                   const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kFlatMap;
-    op.label = label;
-    op.flat = fn;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        for (const Value& row : src.partition(p)) {
-          DIABLO_ASSIGN_OR_RETURN(ValueVec vs, fn(row));
-          for (Value& v : vs) out[p].push_back(std::move(v));
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats flat_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  flat_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(flat_stats), rec);
-  auto lineage = MakeLineage(
-      "flatMap", label, {src.lineage()},
-      [src, fn](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(ValueVec vs, fn(row));
-          for (Value& v : vs) rebuilt.push_back(std::move(v));
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kFlatMap;
+  op.label = label;
+  op.flat = fn;
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::Map(const Dataset& in, BinOp op, const Value& operand,
                               const std::string& label) {
-  Value captured = operand;
-  MapFn fn = [op, captured](const Value& row) {
-    return EvalBinOp(op, row, captured);
-  };
-  if (!config_.fuse_narrow) return Map(in, fn, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kMap;
   fop.label = label;
-  fop.map = std::move(fn);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
+  fop.map = [op, operand](const Value& row) {
+    return EvalBinOp(op, row, operand);
+  };
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/false};
   return in.WithOp(std::move(fop));
 }
 
 StatusOr<Dataset> Engine::MapValues(const Dataset& in, BinOp op,
                                     const Value& operand,
                                     const std::string& label) {
-  Value captured = operand;
-  // The fused kMapValues operator hands `map` the pair's value (see
-  // ApplyChain), so this closure sees the value directly.
-  MapFn fn = [op, captured](const Value& v) {
-    return EvalBinOp(op, v, captured);
-  };
-  if (!config_.fuse_narrow) return MapValues(in, fn, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kMapValues;
   fop.label = label;
-  fop.map = std::move(fn);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
+  // The fused kMapValues operator hands `map` the pair's value (see
+  // ApplyChain), so this closure sees the value directly.
+  fop.map = [op, operand](const Value& v) {
+    return EvalBinOp(op, v, operand);
+  };
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/true};
   return in.WithOp(std::move(fop));
 }
 
 StatusOr<Dataset> Engine::Filter(const Dataset& in, BinOp op,
                                  const Value& operand,
                                  const std::string& label) {
-  Value captured = operand;
-  PredFn pred = [op, captured](const Value& row) -> StatusOr<bool> {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row, captured));
-    if (!v.is_bool()) {
-      return Status::RuntimeError(
-          StrCat("filter predicate evaluated to non-bool: ", v.ToString()));
-    }
-    return v.AsBool();
-  };
-  if (!config_.fuse_narrow) return Filter(in, pred, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kFilter;
   fop.label = label;
-  fop.pred = std::move(pred);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
+  fop.pred = [op, operand](const Value& row) {
+    return EvalPredicate(op, row, operand);
+  };
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/false};
   return in.WithOp(std::move(fop));
 }
 
 StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
                                        const Value& operand,
                                        const std::string& label) {
-  Value captured = operand;
-  PredFn pred = [op, captured](const Value& row) -> StatusOr<bool> {
+  FusedOp fop;
+  fop.kind = FusedOp::Kind::kFilter;
+  fop.label = label;
+  fop.pred = [op, operand](const Value& row) -> StatusOr<bool> {
     if (!row.is_tuple() || row.tuple().size() != 2) {
       return Status::RuntimeError(
           StrCat("filterValues applied to non-pair row: ", row.ToString()));
     }
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row.tuple()[1], captured));
-    if (!v.is_bool()) {
-      return Status::RuntimeError(
-          StrCat("filter predicate evaluated to non-bool: ", v.ToString()));
-    }
-    return v.AsBool();
+    return EvalPredicate(op, row.tuple()[1], operand);
   };
-  if (!config_.fuse_narrow) return Filter(in, pred, label);
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kFilter;
-  fop.label = label;
-  fop.pred = std::move(pred);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
+  fop.kernel = ColumnKernel{op, operand, /*on_value=*/true};
   return in.WithOp(std::move(fop));
 }
 
@@ -1310,14 +1298,6 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
   return Dataset(std::move(out), std::move(lineage));
 }
 
-StatusOr<const Value*> Engine::RowKey(const Value& row) {
-  if (!row.is_tuple() || row.tuple().size() != 2) {
-    return Status::RuntimeError(
-        StrCat("keyed operator applied to non-pair row: ", row.ToString()));
-  }
-  return &row.tuple()[0];
-}
-
 StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
     int stage, const std::vector<int64_t>& task_work,
     const std::function<Status(int, const EmitFn&)>& produce,
@@ -1361,7 +1341,7 @@ StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
         // to its destination buffer hash-first, so the reduce side
         // never rehashes. `row_idx` numbers the scattered rows, so
         // corruption coordinates are independent of how the row was
-        // produced (fused, eager, or pre-combined).
+        // produced (through a fused chain or pre-combined).
         auto scatter = [&](size_t hash, const Value& row) -> Status {
           const int dst = HashDestination(hash, out_parts);
           // Rows that stay on the same simulated node are still
@@ -1650,7 +1630,6 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   int64_t bytes = 0;
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
                           ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   // Skew mitigation (DESIGN.md §17): a destination far above the mean
   // row count is split into contiguous row CHUNKS, each grouped by its
   // own virtual task; the driver then k-way merges the chunks' sorted
@@ -1682,35 +1661,10 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
         const HashedVec& part = shuffled[p];
         const auto [lo, hi] =
             ChunkRange(part.size(), salt.index_of[t], salt.fanout[p]);
-        if (hash_agg) {
-          // Values land per key in arrival order; the final sort
-          // canonicalizes the key order, matching the ordered map.
-          KeyedAccumulator<ValueVec> groups(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            const HashedRow& hr = part[i];
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          reduce_tallies[t].accumulator_bytes =
-              static_cast<int64_t>(groups.MemoryBytes());
-          groups.SortByKey();
-          sub_out[t].reserve(groups.size());
-          for (auto& e : groups.entries()) {
-            sub_out[t].push_back(Value::MakePair(
-                std::move(e.key), Value::MakeBag(std::move(e.payload))));
-          }
-        } else {
-          OrderedGroups groups;
-          for (size_t i = lo; i < hi; ++i) {
-            const ValueVec& kv = part[i].row.tuple();
-            groups[kv[0]].push_back(kv[1]);
-          }
-          sub_out[t].reserve(groups.size());
-          for (auto& [key, vals] : groups) {
-            sub_out[t].push_back(
-                Value::MakePair(key, Value::MakeBag(std::move(vals))));
-          }
-        }
+        // Values land per key in arrival order; the final sort
+        // canonicalizes the key order.
+        reduce_tallies[t].accumulator_bytes =
+            GroupRows(part, lo, hi, &sub_out[t]);
         return Status::OK();
       },
       &rec, &reduce_slots);
@@ -1741,10 +1695,8 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   stats.salted_keys = salted_keys;
   stats.salt_fanout = salt.extra;
   for (const ChainTally& t : reduce_tallies) t.MergeInto(&stats);
-  if (hash_agg) {
-    for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   if (salt.active) {
     StageStats unsalt;
@@ -1759,41 +1711,11 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
       [src, out_parts](const std::vector<int>& lost,
                        std::vector<ValueVec>* rebuilt,
                        int64_t* work) -> Status {
-        // Replay the single-pass scatter restricted to the lost
-        // destinations: every source row is scanned and hashed ONCE;
-        // scanning the source partitions in order reproduces each lost
-        // reduce partition's arrival order exactly, and the final sort
-        // canonicalizes key order just like the forward path.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<ValueVec>> groups(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot >= 0) {
-                    groups[slot].FindOrCreate(h, *key).payload.push_back(
-                        v.tuple()[1]);
-                  }
-                  return Status::OK();
-                }));
-          }
-        }
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rows,
+                                ScatterToLost(src, lost, out_parts, work));
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          groups[i].SortByKey();
-          (*rebuilt)[i].reserve(groups[i].size());
-          for (auto& e : groups[i].entries()) {
-            (*rebuilt)[i].push_back(Value::MakePair(
-                std::move(e.key), Value::MakeBag(std::move(e.payload))));
-          }
+          GroupRows(rows[i], 0, rows[i].size(), &(*rebuilt)[i]);
         }
         return Status::OK();
       },
@@ -1814,7 +1736,6 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   StageStats stats;
   DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, combine_stage, 0, &rec));
   const FusedChain& chain = src.chain();
-  const bool hash_agg = config_.hash_aggregation;
   // Typed aggregation (EngineConfig::columnar): a built-in op whose
   // key/value kinds columnarize folds with native arithmetic in the
   // same arrival order — bit-identical results, no per-row Value
@@ -1827,10 +1748,10 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       schema.value != ColumnTag::kString && schema.value != ColumnTag::kBool;
   // Map-side combine (like Spark): fold each input partition first so the
   // shuffle only moves one pair per (partition, key). Any pending fused
-  // chain runs element-by-element straight into the combine. Both paths
-  // emit the combined pairs in key order, so the merge side's arrival
-  // order — and with it every per-key float fold order — is identical
-  // whichever aggregation path runs.
+  // chain runs element-by-element straight into the combine. The typed
+  // and boxed accumulators both emit the combined pairs in key order, so
+  // the merge side's arrival order — and with it every per-key float
+  // fold order — is identical whichever accumulator ran.
   std::vector<HashedVec> shuffled;
   std::vector<TypedRows> typed_shuffled;
   bool use_typed_shuffle = false;
@@ -1853,7 +1774,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // typed_shuffle_ok conjunct also keeps splits away from fault
   // injection, the wire format, and the remote backend.
   const bool combine_splittable =
-      hash_agg && typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
+      typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
       native_op != nullptr &&
       (*native_op == BinOp::kAdd || *native_op == BinOp::kMul ||
        *native_op == BinOp::kMin || *native_op == BinOp::kMax);
@@ -1871,217 +1792,161 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
     combine_work[t] = static_cast<int64_t>(hi - lo);
   }
   std::vector<ChainTally> tallies(num_combine);
-  if (hash_agg) {
-    std::vector<HashedVec> combined(num_combine);
-    std::vector<TypedRows> typed_combined(num_combine);
-    // Folds rows [lo, hi) of source partition p into output slot `slot`
-    // exactly as the unsplit combine folds a whole partition: wave
-    // tasks call it with their chunk, and the dirty-chunk fallback
-    // below re-runs it over a full partition.
-    auto combine_range = [&](int slot, int p, size_t lo,
-                             size_t hi) -> Status {
-      combined[slot].clear();
-      tallies[slot].Reset(chain.size());
-      KeyedAccumulator<Value> acc(hi - lo);
-      std::optional<TypedReduceAccumulator> typed;
-      if (try_typed) typed.emplace(*native_op, hi - lo);
-      int64_t boxed_rows = 0;
-      auto combine = [&](const Value& row) -> Status {
-        if (typed.has_value()) {
-          if (typed->Add(row)) return Status::OK();
-          // Deviating row: replay the typed state into the boxed
-          // accumulator (insertion order, hashes and payloads
-          // preserved) and continue boxed from this row.
-          typed->SpillTo(&acc);
-          typed.reset();
-        }
-        if (try_typed) ++boxed_rows;
-        DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-        const size_t h = key->Hash();
-        auto ref = acc.FindOrCreate(h, *key);
-        if (ref.inserted) {
-          ref.payload = row.tuple()[1];
-        } else {
-          DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                  fn(ref.payload, row.tuple()[1]));
-        }
-        return Status::OK();
-      };
-      const ValueVec& part = src.partition(p);
-      if (typed.has_value() && chain.empty()) {
-        // No pending fused chain: fold the rows into the typed
-        // accumulator directly, skipping the per-row chain dispatch.
-        // A deviating row drops to the boxed `combine` from there.
-        size_t i = lo;
-        for (; i < hi; ++i) {
-          if (!typed->Add(part[i])) break;
-        }
-        for (; i < hi; ++i) {
-          DIABLO_RETURN_IF_ERROR(combine(part[i]));
-        }
-      } else {
-        for (size_t i = lo; i < hi; ++i) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(chain, 0, part[i], &tallies[slot], combine));
-        }
-      }
-      // Task-level accumulator watermark (the boxed accumulator always
-      // reserves its capacity, so both live footprints are summed);
-      // ChainTally carries it across the dist wire into
-      // StageStats::accumulator_bytes_peak.
-      tallies[slot].accumulator_bytes = static_cast<int64_t>(
-          acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+  std::vector<HashedVec> combined(num_combine);
+  std::vector<TypedRows> typed_combined(num_combine);
+  // Folds rows [lo, hi) of source partition p into output slot `slot`
+  // exactly as the unsplit combine folds a whole partition: wave
+  // tasks call it with their chunk, and the dirty-chunk fallback
+  // below re-runs it over a full partition.
+  auto combine_range = [&](int slot, int p, size_t lo,
+                           size_t hi) -> Status {
+    combined[slot].clear();
+    tallies[slot].Reset(chain.size());
+    KeyedAccumulator<Value> acc(hi - lo);
+    std::optional<TypedReduceAccumulator> typed;
+    if (try_typed) typed.emplace(*native_op, hi - lo);
+    int64_t boxed_rows = 0;
+    auto combine = [&](const Value& row) -> Status {
       if (typed.has_value()) {
-        typed_combined[slot] = TypedRows();
-        if (!typed_shuffle_ok ||
-            !typed->EmitSortedTyped(&typed_combined[slot])) {
-          typed->EmitSortedHashed(&combined[slot]);
-        }
-        if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
-      } else {
-        acc.SortByKey();
-        combined[slot].reserve(acc.size());
-        for (auto& e : acc.entries()) {
-          combined[slot].push_back(HashedRow{
-              e.hash,
-              Value::MakePair(std::move(e.key), std::move(e.payload))});
-        }
+        if (typed->Add(row)) return Status::OK();
+        // Deviating row: replay the typed state into the boxed
+        // accumulator (insertion order, hashes and payloads
+        // preserved) and continue boxed from this row.
+        typed->SpillTo(&acc);
+        typed.reset();
       }
-      tallies[slot].columnar_rows_fallback += boxed_rows;
-      return Status::OK();
+      if (try_typed) ++boxed_rows;
+      DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
+      return FoldInto(&acc, key->Hash(), *key, row.tuple()[1], fn);
     };
-    WaveSlots combine_slots;
-    combine_slots.hashed = &combined;
-    combine_slots.tallies = &tallies;
-    st = RunTaskWave(
-        label + ".combine", combine_stage, combine_work,
-        [&](int t, int) -> Status {
-          const int p = combine_salt.task_of[t];
-          const auto [lo, hi] =
-              ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
-                         combine_salt.fanout[p]);
-          return combine_range(t, p, lo, hi);
-        },
-        &rec, &combine_slots);
-    if (!st.ok()) return st;
-    // A split is only exact while every chunk of the partition stayed
-    // on the typed int64 path. A chunk that bounced — boxed rows, or a
-    // payload that turned out non-int64 at runtime — re-runs its whole
-    // source partition unsplit on the driver (rare by construction: the
-    // plan-time schema already claimed int64), zeroing the sibling
-    // chunk slots so the empty chunks contribute nothing downstream.
-    if (combine_salt.active) {
-      for (int p = 0; p < src.num_partitions(); ++p) {
-        if (combine_salt.fanout[p] == 1) continue;
-        bool clean = true;
-        for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
-          const int t = combine_salt.first[p] + s;
-          if (!combined[t].empty() ||
-              (typed_combined[t].size() > 0 &&
-               typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
-            clean = false;
-          }
-        }
-        if (clean) continue;
-        for (int s = 1; s < combine_salt.fanout[p]; ++s) {
-          const int t = combine_salt.first[p] + s;
-          combined[t].clear();
-          typed_combined[t] = TypedRows();
-          tallies[t].Reset(chain.size());
-        }
-        DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
-                                             src.partition(p).size()));
+    const ValueVec& part = src.partition(p);
+    if (typed.has_value() && chain.empty()) {
+      // No pending fused chain: fold the rows into the typed
+      // accumulator directly, skipping the per-row chain dispatch.
+      // A deviating row drops to the boxed `combine` from there.
+      size_t i = lo;
+      for (; i < hi; ++i) {
+        if (!typed->Add(part[i])) break;
       }
-    }
-    stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&stats);
-    for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
-    // The typed shuffle needs every non-empty combine output typed with
-    // one key/payload shape; a spilled or string-keyed partition drops
-    // the whole operator back to boxed rows (the typed ones re-box).
-    if (typed_shuffle_ok) {
-      use_typed_shuffle = true;
-      TypedKeyMode kmode = TypedKeyMode::kNone;
-      TypedPayloadMode pmode = TypedPayloadMode::kNone;
-      for (int t = 0; t < num_combine; ++t) {
-        if (!combined[t].empty()) {
-          use_typed_shuffle = false;
-          break;
-        }
-        const TypedRows& tc = typed_combined[t];
-        if (tc.size() == 0) continue;
-        if (kmode == TypedKeyMode::kNone) {
-          kmode = tc.key_mode;
-          pmode = tc.payload_mode;
-        } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
-          use_typed_shuffle = false;
-          break;
-        }
+      for (; i < hi; ++i) {
+        DIABLO_RETURN_IF_ERROR(combine(part[i]));
       }
-      if (!use_typed_shuffle) {
-        for (int t = 0; t < num_combine; ++t) {
-          typed_combined[t].EmitHashed(&combined[t]);
-          typed_combined[t] = TypedRows();
-        }
-      }
-    }
-    int64_t combined_keys = 0;
-    for (int t = 0; t < num_combine; ++t) {
-      combined_keys += static_cast<int64_t>(combined[t].size()) +
-                       static_cast<int64_t>(typed_combined[t].size());
-    }
-    stats.hash_agg_keys += combined_keys;
-    // The combined pairs carry their memoized key hashes straight into
-    // the scatter: no key is hashed twice anywhere in this operator.
-    if (use_typed_shuffle) {
-      DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
-                              ShuffleTyped(typed_combined, shuffle_stage,
-                                           &bytes, &rec, &stats));
     } else {
-      DIABLO_ASSIGN_OR_RETURN(shuffled,
-                              ShuffleHashed(combined, shuffle_stage, &bytes,
-                                            &rec, &stats));
+      for (size_t i = lo; i < hi; ++i) {
+        DIABLO_RETURN_IF_ERROR(
+            ApplyChain(chain, 0, part[i], &tallies[slot], combine));
+      }
     }
+    // Task-level accumulator watermark (the boxed accumulator always
+    // reserves its capacity, so both live footprints are summed);
+    // ChainTally carries it across the dist wire into
+    // StageStats::accumulator_bytes_peak.
+    tallies[slot].accumulator_bytes = static_cast<int64_t>(
+        acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+    if (typed.has_value()) {
+      typed_combined[slot] = TypedRows();
+      if (!typed_shuffle_ok ||
+          !typed->EmitSortedTyped(&typed_combined[slot])) {
+        typed->EmitSortedHashed(&combined[slot]);
+      }
+      if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
+    } else {
+      EmitSortedPairs(&acc, &combined[slot]);
+    }
+    tallies[slot].columnar_rows_fallback += boxed_rows;
+    return Status::OK();
+  };
+  WaveSlots combine_slots;
+  combine_slots.hashed = &combined;
+  combine_slots.tallies = &tallies;
+  st = RunTaskWave(
+      label + ".combine", combine_stage, combine_work,
+      [&](int t, int) -> Status {
+        const int p = combine_salt.task_of[t];
+        const auto [lo, hi] =
+            ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
+                       combine_salt.fanout[p]);
+        return combine_range(t, p, lo, hi);
+      },
+      &rec, &combine_slots);
+  if (!st.ok()) return st;
+  // A split is only exact while every chunk of the partition stayed
+  // on the typed int64 path. A chunk that bounced — boxed rows, or a
+  // payload that turned out non-int64 at runtime — re-runs its whole
+  // source partition unsplit on the driver (rare by construction: the
+  // plan-time schema already claimed int64), zeroing the sibling
+  // chunk slots so the empty chunks contribute nothing downstream.
+  if (combine_salt.active) {
+    for (int p = 0; p < src.num_partitions(); ++p) {
+      if (combine_salt.fanout[p] == 1) continue;
+      bool clean = true;
+      for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
+        const int t = combine_salt.first[p] + s;
+        if (!combined[t].empty() ||
+            (typed_combined[t].size() > 0 &&
+             typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
+          clean = false;
+        }
+      }
+      if (clean) continue;
+      for (int s = 1; s < combine_salt.fanout[p]; ++s) {
+        const int t = combine_salt.first[p] + s;
+        combined[t].clear();
+        typed_combined[t] = TypedRows();
+        tallies[t].Reset(chain.size());
+      }
+      DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
+                                           src.partition(p).size()));
+    }
+  }
+  stats.fused_ops += static_cast<int64_t>(chain.size());
+  for (const ChainTally& t : tallies) t.MergeInto(&stats);
+  for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
+  // The typed shuffle needs every non-empty combine output typed with
+  // one key/payload shape; a spilled or string-keyed partition drops
+  // the whole operator back to boxed rows (the typed ones re-box).
+  if (typed_shuffle_ok) {
+    use_typed_shuffle = true;
+    TypedKeyMode kmode = TypedKeyMode::kNone;
+    TypedPayloadMode pmode = TypedPayloadMode::kNone;
+    for (int t = 0; t < num_combine; ++t) {
+      if (!combined[t].empty()) {
+        use_typed_shuffle = false;
+        break;
+      }
+      const TypedRows& tc = typed_combined[t];
+      if (tc.size() == 0) continue;
+      if (kmode == TypedKeyMode::kNone) {
+        kmode = tc.key_mode;
+        pmode = tc.payload_mode;
+      } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
+        use_typed_shuffle = false;
+        break;
+      }
+    }
+    if (!use_typed_shuffle) {
+      for (int t = 0; t < num_combine; ++t) {
+        typed_combined[t].EmitHashed(&combined[t]);
+        typed_combined[t] = TypedRows();
+      }
+    }
+  }
+  int64_t combined_keys = 0;
+  for (int t = 0; t < num_combine; ++t) {
+    combined_keys += static_cast<int64_t>(combined[t].size()) +
+                     static_cast<int64_t>(typed_combined[t].size());
+  }
+  stats.hash_agg_keys += combined_keys;
+  // The combined pairs carry their memoized key hashes straight into
+  // the scatter: no key is hashed twice anywhere in this operator.
+  if (use_typed_shuffle) {
+    DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
+                            ShuffleTyped(typed_combined, shuffle_stage,
+                                         &bytes, &rec, &stats));
   } else {
-    std::vector<ValueVec> combined(src.num_partitions());
-    WaveSlots combine_slots;
-    combine_slots.rows = &combined;
-    combine_slots.tallies = &tallies;
-    st = RunTaskWave(
-        label + ".combine", combine_stage, RowCounts(src),
-        [&](int p, int) -> Status {
-          combined[p].clear();
-          tallies[p].Reset(chain.size());
-          OrderedGroups acc;
-          auto combine = [&](const Value& row) -> Status {
-            DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-            auto it = acc.find(*key);
-            if (it == acc.end()) {
-              acc.emplace(*key, ValueVec{row.tuple()[1]});
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(it->second[0],
-                                      fn(it->second[0], row.tuple()[1]));
-            }
-            return Status::OK();
-          };
-          for (const Value& row : src.partition(p)) {
-            DIABLO_RETURN_IF_ERROR(
-                ApplyChain(chain, 0, row, &tallies[p], combine));
-          }
-          combined[p].reserve(acc.size());
-          for (auto& [key, vals] : acc) {
-            combined[p].push_back(Value::MakePair(key, std::move(vals[0])));
-          }
-          return Status::OK();
-        },
-        &rec, &combine_slots);
-    if (!st.ok()) return st;
-    stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&stats);
-    Dataset combined_ds(std::move(combined));
-    DIABLO_ASSIGN_OR_RETURN(
-        shuffled, ShuffleWave(combined_ds, shuffle_stage, &bytes, &rec,
-                              &stats));
+    DIABLO_ASSIGN_OR_RETURN(shuffled,
+                            ShuffleHashed(combined, shuffle_stage, &bytes,
+                                          &rec, &stats));
   }
   std::vector<int64_t> shuffled_counts;
   if (use_typed_shuffle) {
@@ -2170,64 +2035,34 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
           return Status::OK();
         }
         const HashedVec& part = hashed_parts[t];
-        if (hash_agg) {
-          KeyedAccumulator<Value> acc(part.size());
-          std::optional<TypedReduceAccumulator> typed;
-          if (try_typed) typed.emplace(*native_op, part.size());
-          int64_t boxed_rows = 0;
-          size_t i = 0;
-          if (typed.has_value()) {
-            // The hash crossed the shuffle with the row: trust it.
-            for (; i < part.size(); ++i) {
-              const HashedRow& hr = part[i];
-              if (!typed->AddHashed(hr.hash, hr.row)) break;
-            }
-            if (i == part.size()) {
-              reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-                  acc.MemoryBytes() + typed->MemoryBytes());
-              typed->EmitSortedRows(&sub_out[t]);
-              if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
-              return Status::OK();
-            }
-            typed->SpillTo(&acc);
-          }
+        KeyedAccumulator<Value> acc(part.size());
+        std::optional<TypedReduceAccumulator> typed;
+        if (try_typed) typed.emplace(*native_op, part.size());
+        size_t i = 0;
+        if (typed.has_value()) {
+          // The hash crossed the shuffle with the row: trust it.
           for (; i < part.size(); ++i) {
             const HashedRow& hr = part[i];
-            if (try_typed) ++boxed_rows;
-            const ValueVec& kv = hr.row.tuple();
-            auto ref = acc.FindOrCreate(hr.hash, kv[0]);
-            if (ref.inserted) {
-              ref.payload = kv[1];
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, kv[1]));
-            }
+            if (!typed->AddHashed(hr.hash, hr.row)) break;
           }
-          reduce_tallies[t].columnar_rows_fallback += boxed_rows;
-          reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-              acc.MemoryBytes() +
-              (typed.has_value() ? typed->MemoryBytes() : 0));
-          acc.SortByKey();
-          sub_out[t].reserve(acc.size());
-          for (auto& e : acc.entries()) {
-            sub_out[t].push_back(
-                Value::MakePair(std::move(e.key), std::move(e.payload)));
+          if (i == part.size()) {
+            reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
+                acc.MemoryBytes() + typed->MemoryBytes());
+            typed->EmitSortedRows(&sub_out[t]);
+            if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
+            return Status::OK();
           }
-        } else {
-          OrderedGroups acc;
-          for (const HashedRow& hr : part) {
-            const ValueVec& kv = hr.row.tuple();
-            auto it = acc.find(kv[0]);
-            if (it == acc.end()) {
-              acc.emplace(kv[0], ValueVec{kv[1]});
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(it->second[0], fn(it->second[0], kv[1]));
-            }
-          }
-          sub_out[t].reserve(acc.size());
-          for (auto& [key, vals] : acc) {
-            sub_out[t].push_back(Value::MakePair(key, std::move(vals[0])));
-          }
+          typed->SpillTo(&acc);
         }
+        if (try_typed) {
+          reduce_tallies[t].columnar_rows_fallback +=
+              static_cast<int64_t>(part.size() - i);
+        }
+        DIABLO_RETURN_IF_ERROR(FoldRows(part, i, part.size(), fn, &acc));
+        reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
+            acc.MemoryBytes() +
+            (typed.has_value() ? typed->MemoryBytes() : 0));
+        EmitSortedPairs(&acc, &sub_out[t]);
         return Status::OK();
       },
       &rec, &reduce_slots);
@@ -2260,10 +2095,8 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // in the reduce stage itself), so salted_keys stays 0 here — only
   // groupByKey's bag-concat un-salt reports it.
   stats.salt_fanout = combine_salt.extra + reduce_salt.extra;
-  if (hash_agg) {
-    for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   if (reduce_salt.active) {
     StageStats unsalt;
@@ -2279,60 +2112,29 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
                            std::vector<ValueVec>* rebuilt,
                            int64_t* work) -> Status {
         // Reproduce combine -> shuffle -> fold for the lost destinations
-        // in ONE pass over the source: each produced row is hashed once
-        // and dropped unless its destination was lost. Restricting the
-        // map-side combine to lost-destination keys, and merging each
-        // source partition's combined pairs in key order (the combine
-        // emits them that way), keeps every per-key fold order
-        // identical to the original run, so floating-point results
-        // match bit for bit.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<Value>> acc(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          std::vector<KeyedAccumulator<Value>> part(lost.size());
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot < 0) return Status::OK();
-                  auto ref = part[slot].FindOrCreate(h, *key);
-                  if (ref.inserted) {
-                    ref.payload = v.tuple()[1];
-                  } else {
-                    DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                            fn(ref.payload, v.tuple()[1]));
-                  }
-                  return Status::OK();
-                }));
-          }
-          for (size_t i = 0; i < lost.size(); ++i) {
-            part[i].SortByKey();
-            for (auto& e : part[i].entries()) {
-              auto ref = acc[i].FindOrCreate(e.hash, e.key);
-              if (ref.inserted) {
-                ref.payload = std::move(e.payload);
-              } else {
-                DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                        fn(ref.payload, e.payload));
-              }
-            }
-          }
-        }
+        // from ONE pass over the source: each source partition's rows
+        // bound for a lost destination combine by key and emit in key
+        // order (the map-side combine restricted to those keys), and the
+        // partials fold in source order. Every per-key fold order is the
+        // forward run's, so floating-point results match bit for bit.
+        std::vector<std::vector<size_t>> ends;
+        DIABLO_ASSIGN_OR_RETURN(
+            std::vector<HashedVec> rows,
+            ScatterToLost(src, lost, out_parts, work, &ends));
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          acc[i].SortByKey();
-          (*rebuilt)[i].reserve(acc[i].size());
-          for (auto& e : acc[i].entries()) {
-            (*rebuilt)[i].push_back(
-                Value::MakePair(std::move(e.key), std::move(e.payload)));
+          HashedVec combined;
+          size_t lo = 0;
+          for (size_t hi : ends[i]) {
+            KeyedAccumulator<Value> part(hi - lo);
+            DIABLO_RETURN_IF_ERROR(FoldRows(rows[i], lo, hi, fn, &part));
+            EmitSortedPairs(&part, &combined);
+            lo = hi;
           }
+          KeyedAccumulator<Value> acc(combined.size());
+          DIABLO_RETURN_IF_ERROR(
+              FoldRows(combined, 0, combined.size(), fn, &acc));
+          EmitSortedPairs(&acc, &(*rebuilt)[i]);
         }
         return Status::OK();
       },
@@ -2372,7 +2174,6 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
                           ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
                           ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(ls.size());
   std::vector<int64_t> reduce_work(ls.size(), 0);
   WaveSlots join_slots;
@@ -2382,46 +2183,8 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
       label, join_stage, RowCounts(ls),
       [&](int p, int) -> Status {
         out[p].clear();
-        reduce_work[p] = static_cast<int64_t>(ls[p].size());
-        if (hash_agg) {
-          // Build from the left rows in arrival order, probe with the
-          // right rows in arrival order: the output sequence is the
-          // probe order either way, so no final sort is needed to match
-          // the ordered-map path. Both sides reuse the carried hashes.
-          KeyedAccumulator<ValueVec> build(ls[p].size());
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            reduce_work[p] += 1;
-            ValueVec* lvs = build.Find(hr.hash, kv[0]);
-            if (lvs == nullptr) continue;
-            for (const Value& lv : *lvs) {
-              out[p].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-              reduce_work[p] += 1;
-            }
-          }
-        } else {
-          OrderedGroups build;
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            build[kv[0]].push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            reduce_work[p] += 1;
-            auto it = build.find(kv[0]);
-            if (it == build.end()) continue;
-            for (const Value& lv : it->second) {
-              out[p].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-              reduce_work[p] += 1;
-            }
-          }
-        }
+        reduce_work[p] = static_cast<int64_t>(ls[p].size()) +
+                         JoinRows(ls[p], rs[p], &out[p]);
         return Status::OK();
       },
       &rec, &join_slots);
@@ -2433,9 +2196,7 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
   stats.reduce_work = std::move(reduce_work);
   stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
-  }
+  for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   const int chain_depth = static_cast<int>(
@@ -2445,52 +2206,13 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
       [l, r, out_parts](const std::vector<int>& lost,
                         std::vector<ValueVec>* rebuilt,
                         int64_t* work) -> Status {
-        // Rebuild the lost post-shuffle partitions of both sides in one
-        // pass per side (each produced row hashed once, kept with its
-        // memoized hash only when its destination was lost), then
-        // replay the hash join. Scanning sources in order restores the
-        // arrival order, so the probe-order output matches exactly.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<HashedVec> lrows(lost.size()), rrows(lost.size());
-        auto scatter = [&](const Dataset& side,
-                           std::vector<HashedVec>& dest) -> Status {
-          for (int s = 0; s < side.num_partitions(); ++s) {
-            for (const Value& row : side.partition(s)) {
-              *work += 1;
-              DIABLO_RETURN_IF_ERROR(ApplyChain(
-                  side.chain(), 0, row, nullptr,
-                  [&](const Value& v) -> Status {
-                    DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                    const size_t h = key->Hash();
-                    const int slot = slot_of[HashDestination(h, out_parts)];
-                    if (slot >= 0) dest[slot].push_back(HashedRow{h, v});
-                    return Status::OK();
-                  }));
-            }
-          }
-          return Status::OK();
-        };
-        DIABLO_RETURN_IF_ERROR(scatter(l, lrows));
-        DIABLO_RETURN_IF_ERROR(scatter(r, rrows));
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> lrows,
+                                ScatterToLost(l, lost, out_parts, work));
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rrows,
+                                ScatterToLost(r, lost, out_parts, work));
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          KeyedAccumulator<ValueVec> build(lrows[i].size());
-          for (const HashedRow& hr : lrows[i]) {
-            const ValueVec& kv = hr.row.tuple();
-            build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rrows[i]) {
-            const ValueVec& kv = hr.row.tuple();
-            ValueVec* lvs = build.Find(hr.hash, kv[0]);
-            if (lvs == nullptr) continue;
-            for (const Value& lv : *lvs) {
-              (*rebuilt)[i].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-            }
-          }
+          JoinRows(lrows[i], rrows[i], &(*rebuilt)[i]);
         }
         return Status::OK();
       },
@@ -2514,7 +2236,6 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
                           ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
                           ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(ls.size());
   std::vector<int64_t> reduce_work(ls.size(), 0);
   WaveSlots cg_slots;
@@ -2526,44 +2247,7 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
         out[p].clear();
         reduce_work[p] = static_cast<int64_t>(ls[p].size()) +
                          static_cast<int64_t>(rs[p].size());
-        if (hash_agg) {
-          KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(
-              ls[p].size() + rs[p].size());
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0])
-                .payload.first.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0])
-                .payload.second.push_back(kv[1]);
-          }
-          groups.SortByKey();
-          out[p].reserve(groups.size());
-          for (auto& e : groups.entries()) {
-            out[p].push_back(Value::MakePair(
-                std::move(e.key),
-                Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
-                                Value::MakeBag(std::move(e.payload.second)))));
-          }
-          return Status::OK();
-        }
-        std::map<Value, std::pair<ValueVec, ValueVec>> groups;
-        for (const HashedRow& hr : ls[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          groups[kv[0]].first.push_back(kv[1]);
-        }
-        for (const HashedRow& hr : rs[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          groups[kv[0]].second.push_back(kv[1]);
-        }
-        out[p].reserve(groups.size());
-        for (auto& [key, sides] : groups) {
-          out[p].push_back(Value::MakePair(
-              key, Value::MakePair(Value::MakeBag(std::move(sides.first)),
-                                   Value::MakeBag(std::move(sides.second)))));
-        }
+        CoGroupRows(ls[p], rs[p], &out[p]);
         return Status::OK();
       },
       &rec, &cg_slots);
@@ -2575,10 +2259,8 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
   stats.reduce_work = std::move(reduce_work);
   stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   const int chain_depth = static_cast<int>(
@@ -2588,47 +2270,13 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
       [l, r, out_parts](const std::vector<int>& lost,
                         std::vector<ValueVec>* rebuilt,
                         int64_t* work) -> Status {
-        // Single-pass scatter per side, restricted to lost destinations;
-        // each produced row's key hashes once. SortByKey canonicalizes
-        // the rebuilt groups to match the forward path byte-for-byte.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<std::pair<ValueVec, ValueVec>>> groups(
-            lost.size());
-        auto scatter = [&](const Dataset& side, bool is_left) -> Status {
-          for (int s = 0; s < side.num_partitions(); ++s) {
-            for (const Value& row : side.partition(s)) {
-              *work += 1;
-              DIABLO_RETURN_IF_ERROR(ApplyChain(
-                  side.chain(), 0, row, nullptr,
-                  [&](const Value& v) -> Status {
-                    DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                    const size_t h = key->Hash();
-                    const int slot = slot_of[HashDestination(h, out_parts)];
-                    if (slot < 0) return Status::OK();
-                    auto& sides = groups[slot].FindOrCreate(h, *key).payload;
-                    (is_left ? sides.first : sides.second)
-                        .push_back(v.tuple()[1]);
-                    return Status::OK();
-                  }));
-            }
-          }
-          return Status::OK();
-        };
-        DIABLO_RETURN_IF_ERROR(scatter(l, /*is_left=*/true));
-        DIABLO_RETURN_IF_ERROR(scatter(r, /*is_left=*/false));
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> lrows,
+                                ScatterToLost(l, lost, out_parts, work));
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rrows,
+                                ScatterToLost(r, lost, out_parts, work));
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          groups[i].SortByKey();
-          (*rebuilt)[i].reserve(groups[i].size());
-          for (auto& e : groups[i].entries()) {
-            (*rebuilt)[i].push_back(Value::MakePair(
-                std::move(e.key),
-                Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
-                                Value::MakeBag(std::move(e.payload.second)))));
-          }
+          CoGroupRows(lrows[i], rrows[i], &(*rebuilt)[i]);
         }
         return Status::OK();
       },
@@ -2696,7 +2344,6 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   int64_t bytes = 0;
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
                           ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(shuffled.size());
   WaveSlots dedup_slots;
   dedup_slots.rows = &out;
@@ -2704,22 +2351,7 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
       label, dedup_stage, RowCounts(shuffled),
       [&](int p, int) -> Status {
         out[p].clear();
-        if (hash_agg) {
-          KeyedAccumulator<NoPayload> seen(shuffled[p].size());
-          for (const HashedRow& hr : shuffled[p]) {
-            seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
-          }
-          seen.SortByKey();
-          out[p].reserve(seen.size());
-          for (auto& e : seen.entries()) out[p].push_back(std::move(e.key));
-          return Status::OK();
-        }
-        std::map<Value, bool> seen;
-        for (const HashedRow& hr : shuffled[p]) {
-          seen.emplace(hr.row.tuple()[0], true);
-        }
-        out[p].reserve(seen.size());
-        for (auto& [v, unused] : seen) out[p].push_back(v);
+        DistinctRows(shuffled[p], &out[p]);
         return Status::OK();
       },
       &rec, &dedup_slots);
@@ -2730,10 +2362,8 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   stats.reduce_work = RowCounts(shuffled);
   stats.shuffle_bytes = bytes;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   auto lineage = MakeLineage(
@@ -2741,35 +2371,11 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
       [src, out_parts](const std::vector<int>& lost,
                        std::vector<ValueVec>* rebuilt,
                        int64_t* work) -> Status {
-        // Single-pass scatter restricted to the lost destinations; each
-        // key hashes once and the final sort canonicalizes the rebuilt
-        // partition to match the forward path byte-for-byte.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<NoPayload>> seen(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot >= 0) seen[slot].FindOrCreate(h, *key);
-                  return Status::OK();
-                }));
-          }
-        }
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rows,
+                                ScatterToLost(src, lost, out_parts, work));
         rebuilt->resize(lost.size());
         for (size_t i = 0; i < lost.size(); ++i) {
-          seen[i].SortByKey();
-          (*rebuilt)[i].reserve(seen[i].size());
-          for (auto& e : seen[i].entries()) {
-            (*rebuilt)[i].push_back(std::move(e.key));
-          }
+          DistinctRows(rows[i], &(*rebuilt)[i]);
         }
         return Status::OK();
       },

@@ -1,10 +1,13 @@
-// Narrow-stage fusion property tests: randomized chains of narrow
-// operators terminated by a random action must produce byte-identical
-// results whether the chain is fused into the next stage boundary
-// (fuse_narrow = true, the default) or materialized one ValueVec per
-// operator (the eager engine) — and, with fault injection on top, a
-// fused run that completes must still equal the fault-free fused run
-// exactly. Also checks the fused-stage observability metrics.
+// Narrow-stage fusion property tests. Randomized chains of narrow
+// operators, terminated by a random action, run on the engine — where
+// the chain executes fused inside the next stage boundary — and on the
+// eager sequential oracle of engine_oracle.h, which materializes every
+// operator's output. Results must match the oracle exactly, except
+// double reductions, which match within 1e-9 (the engine's map-side
+// combine and per-partition partials re-associate the sums). Engine runs
+// must also be byte-identical across host_threads {1, 4} and with fault
+// injection on and off. Also checks the fused-stage observability
+// metrics.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 
 #include "runtime/engine.h"
 #include "runtime/fault.h"
+#include "tests/engine_oracle.h"
 
 namespace diablo::runtime {
 namespace {
@@ -33,49 +37,58 @@ ValueVec RandomPairs(std::mt19937_64& rng, int n, int keys) {
   return rows;
 }
 
+// The program's operators over (int, double) pairs, shared by the
+// engine and the oracle so any divergence comes from execution
+// strategy, never from the program.
+StatusOr<Value> ScaleByKey(const Value& v) {
+  return Value::MakePair(v.tuple()[0],
+                         D(v.tuple()[1].AsDouble() * 1.25 +
+                           static_cast<double>(v.tuple()[0].AsInt())));
+}
+
+StatusOr<Value> HalveValue(const Value& v) {
+  return D(v.AsDouble() * 0.5 - 3.0);
+}
+
+StatusOr<bool> AboveFloor(const Value& v) {
+  return v.tuple()[1].AsDouble() > -40.0;
+}
+
+StatusOr<ValueVec> DuplicateEvenKeys(const Value& v) {
+  ValueVec out{v};
+  if (v.tuple()[0].AsInt() % 2 == 0) {
+    out.push_back(
+        Value::MakePair(v.tuple()[0], D(v.tuple()[1].AsDouble() + 1.0)));
+  }
+  return out;
+}
+
+/// Pairwise (elementwise) sum of two rows.
+StatusOr<Value> AddRows(const Value& a, const Value& b) {
+  return EvalBinOp(BinOp::kAdd, a, b);
+}
+
 /// A program drawn from (op codes, terminal code): a chain of narrow
-/// operators over (int, double) pairs followed by one action. Both
-/// engines are handed the exact same closures, so any divergence comes
-/// from execution strategy, never from the program.
+/// operators over (int, double) pairs followed by one action.
 StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
                               const std::vector<int>& ops, int terminal) {
   Dataset cur = engine.Parallelize(rows);
   for (int op : ops) {
     switch (op % 4) {
       case 0: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.Map(cur, [](const Value& v) -> StatusOr<Value> {
-              return Value::MakePair(
-                  v.tuple()[0],
-                  D(v.tuple()[1].AsDouble() * 1.25 +
-                    static_cast<double>(v.tuple()[0].AsInt())));
-            }));
+        DIABLO_ASSIGN_OR_RETURN(cur, engine.Map(cur, ScaleByKey));
         break;
       }
       case 1: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.MapValues(cur, [](const Value& v) -> StatusOr<Value> {
-              return D(v.AsDouble() * 0.5 - 3.0);
-            }));
+        DIABLO_ASSIGN_OR_RETURN(cur, engine.MapValues(cur, HalveValue));
         break;
       }
       case 2: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.Filter(cur, [](const Value& v) -> StatusOr<bool> {
-              return v.tuple()[1].AsDouble() > -40.0;
-            }));
+        DIABLO_ASSIGN_OR_RETURN(cur, engine.Filter(cur, AboveFloor));
         break;
       }
       default: {
-        DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.FlatMap(cur, [](const Value& v) -> StatusOr<ValueVec> {
-              ValueVec out{v};
-              if (v.tuple()[0].AsInt() % 2 == 0) {
-                out.push_back(Value::MakePair(
-                    v.tuple()[0], D(v.tuple()[1].AsDouble() + 1.0)));
-              }
-              return out;
-            }));
+        DIABLO_ASSIGN_OR_RETURN(cur, engine.FlatMap(cur, DuplicateEvenKeys));
         break;
       }
     }
@@ -105,14 +118,66 @@ StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
       return engine.Collect(joined);
     }
     default: {
-      // Pairwise (elementwise) fold of every row; wrap into a vec.
-      auto total = engine.Reduce(cur, [](const Value& a, const Value& b) {
-        return EvalBinOp(BinOp::kAdd, a, b);
-      });
+      auto total = engine.Reduce(cur, AddRows);
       if (!total.ok()) return total.status();
       return total->has_value() ? ValueVec{**total} : ValueVec{};
     }
   }
+}
+
+/// The same program on the sequential oracle over `parts` partitions.
+StatusOr<ValueVec> RunOracle(const ValueVec& rows, const std::vector<int>& ops,
+                             int terminal, int parts) {
+  oracle::Parts cur = oracle::Parallelize(rows, parts);
+  for (int op : ops) {
+    switch (op % 4) {
+      case 0: {
+        DIABLO_ASSIGN_OR_RETURN(cur, oracle::Map(cur, ScaleByKey));
+        break;
+      }
+      case 1: {
+        DIABLO_ASSIGN_OR_RETURN(cur, oracle::MapValues(cur, HalveValue));
+        break;
+      }
+      case 2: {
+        DIABLO_ASSIGN_OR_RETURN(cur, oracle::Filter(cur, AboveFloor));
+        break;
+      }
+      default: {
+        DIABLO_ASSIGN_OR_RETURN(cur, oracle::FlatMap(cur, DuplicateEvenKeys));
+        break;
+      }
+    }
+  }
+  switch (terminal % 6) {
+    case 0:
+    case 3:  // a checkpoint writes the rows unchanged
+      return oracle::Collect(cur);
+    case 1: {
+      DIABLO_ASSIGN_OR_RETURN(oracle::Parts sums,
+                              oracle::ReduceByKey(cur, BinOp::kAdd, parts));
+      return oracle::Collect(sums);
+    }
+    case 2:
+      return oracle::Collect(oracle::GroupByKey(cur, parts));
+    case 4: {
+      DIABLO_ASSIGN_OR_RETURN(oracle::Parts sums,
+                              oracle::ReduceByKey(cur, BinOp::kAdd, parts));
+      return oracle::Collect(oracle::Join(cur, sums, parts));
+    }
+    default: {
+      DIABLO_ASSIGN_OR_RETURN(std::optional<Value> total,
+                              oracle::Reduce(cur, AddRows));
+      return total.has_value() ? ValueVec{*total} : ValueVec{};
+    }
+  }
+}
+
+/// The terminals that fold doubles: reduceByKey, the join against its
+/// sums, and reduce.
+bool FoldsDoubles(int terminal) {
+  const int t = terminal % 6;
+  return t == 1 || t == 4 || t == 5;
 }
 
 TEST(FusionProperty, FusedMatchesEagerByteForByte) {
@@ -124,18 +189,19 @@ TEST(FusionProperty, FusedMatchesEagerByteForByte) {
     for (int& op : ops) op = static_cast<int>(rng() % 4);
     int terminal = static_cast<int>(rng() % 6);
 
-    EngineConfig fused_config;
-    fused_config.fuse_narrow = true;
-    fused_config.num_partitions = 1 + static_cast<int>(rng() % 12);
-    EngineConfig eager_config = fused_config;
-    eager_config.fuse_narrow = false;
-
-    Engine fused(fused_config), eager(eager_config);
-    auto fused_out = RunProgram(fused, rows, ops, terminal);
-    auto eager_out = RunProgram(eager, rows, ops, terminal);
-    ASSERT_TRUE(fused_out.ok()) << fused_out.status().ToString();
-    ASSERT_TRUE(eager_out.ok()) << eager_out.status().ToString();
-    EXPECT_EQ(*fused_out, *eager_out)
+    EngineConfig config;
+    config.num_partitions = 1 + static_cast<int>(rng() % 12);
+    Engine serial(config);
+    config.host_threads = 4;
+    Engine threaded(config);
+    auto got = RunProgram(serial, rows, ops, terminal);
+    auto threaded_out = RunProgram(threaded, rows, ops, terminal);
+    auto want = RunOracle(rows, ops, terminal, config.num_partitions);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(threaded_out.ok()) << threaded_out.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(*threaded_out, *got) << "seed " << seed;
+    EXPECT_TRUE(oracle::MatchesOracle(*got, *want, FoldsDoubles(terminal)))
         << "seed " << seed << ", " << ops.size() << " ops, terminal "
         << terminal;
   }
@@ -154,6 +220,11 @@ TEST(FusionProperty, FusedUnderFaultsMatchesFaultFree) {
     Engine clean(clean_config);
     auto expected = RunProgram(clean, rows, ops, terminal);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto want = RunOracle(rows, ops, terminal, clean_config.num_partitions);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(
+        oracle::MatchesOracle(*expected, *want, FoldsDoubles(terminal)))
+        << "seed " << seed;
 
     EngineConfig faulty_config;
     faulty_config.faults.seed = seed + 1;
@@ -195,7 +266,7 @@ TEST(FusionProperty, LostPartitionsReplayTheChain) {
 }
 
 TEST(FusionMetrics, FusedStagesReportSavedMaterialization) {
-  Engine engine;  // fuse_narrow defaults to true
+  Engine engine;
   ValueVec rows;
   for (int i = 0; i < 1000; ++i) {
     rows.push_back(Value::MakePair(I(i % 10), D(i * 0.25)));
@@ -214,7 +285,7 @@ TEST(FusionMetrics, FusedStagesReportSavedMaterialization) {
         return D(v.AsDouble() * 2.0);
       });
   ASSERT_TRUE(scaled.ok());
-  // Nothing ran yet: narrow operators defer under fusion.
+  // Nothing ran yet: narrow operators defer to the next stage boundary.
   EXPECT_EQ(engine.metrics().stages().size(), 0u);
   EXPECT_FALSE(scaled->materialized());
   EXPECT_EQ(scaled->chain().size(), 3u);

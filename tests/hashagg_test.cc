@@ -1,11 +1,12 @@
 // Hash-aggregation and worker-pool property tests.
 //
 // The engine's wide operators aggregate through the open-addressing
-// KeyedAccumulator (hash_aggregation = true, the default) instead of the
-// ordered std::map path. The contract: results are byte-identical to the
-// ordered path for every workload, partition count, host thread count,
-// fusion setting and fault schedule — hash-table iteration order must
-// never be observable. The persistent work-stealing pool carries a
+// KeyedAccumulator. The contract: hash-table iteration order is never
+// observable. Each workload's result must equal the ordered-map oracle
+// of engine_oracle.h (within 1e-9 where doubles are folded, since the
+// engine's map-side combine re-associates the sums), and engine runs
+// must be byte-identical for every partition count, host thread count
+// and fault schedule. The persistent work-stealing pool carries a
 // matching contract: every index runs exactly once and a failing wave
 // reports the error of the lowest-indexed failing task no matter how
 // many threads raced.
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "runtime/fault.h"
 #include "runtime/keyed_accumulator.h"
 #include "runtime/worker_pool.h"
+#include "tests/engine_oracle.h"
 
 namespace diablo::runtime {
 namespace {
@@ -146,8 +149,8 @@ TEST(WorkerPool, EmptyAndUndersizedWaves) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level property: hash aggregation is byte-identical to the
-// ordered-map path across workloads and engine configurations.
+// Engine-level property: hash aggregation matches the ordered-map oracle
+// across workloads and engine configurations.
 
 // Word count: (word, 1) pairs reduced by key. String keys stress
 // hashing/compare asymmetry.
@@ -164,7 +167,7 @@ StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words) {
 
 // PageRank-flavoured: two iterations of join(ranks, links) →
 // contributions → reduceByKey over doubles. Float folds make any
-// arrival-order divergence between the paths visible bit-for-bit.
+// arrival-order divergence between engine runs visible bit-for-bit.
 StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
   Dataset links = engine.Parallelize(edges);
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
@@ -216,6 +219,69 @@ StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
   return out;
 }
 
+// The three workloads on the sequential oracle over `parts` partitions.
+StatusOr<ValueVec> WordCountOracle(const ValueVec& words, int parts) {
+  DIABLO_ASSIGN_OR_RETURN(
+      oracle::Parts pairs,
+      oracle::Map(oracle::Parallelize(words, parts),
+                  [](const Value& v) -> StatusOr<Value> {
+                    return Value::MakePair(v, I(1));
+                  }));
+  DIABLO_ASSIGN_OR_RETURN(oracle::Parts counts,
+                          oracle::ReduceByKey(pairs, BinOp::kAdd, parts));
+  return oracle::Collect(counts);
+}
+
+StatusOr<ValueVec> PageRankItersOracle(const ValueVec& edges, int parts) {
+  const oracle::Parts grouped =
+      oracle::GroupByKey(oracle::Parallelize(edges, parts), parts);
+  DIABLO_ASSIGN_OR_RETURN(
+      oracle::Parts ranks,
+      oracle::MapValues(grouped, [](const Value&) -> StatusOr<Value> {
+        return D(1.0);
+      }));
+  for (int iter = 0; iter < 2; ++iter) {
+    DIABLO_ASSIGN_OR_RETURN(
+        oracle::Parts contribs,
+        oracle::FlatMap(
+            oracle::Join(grouped, ranks, parts),
+            [](const Value& v) -> StatusOr<ValueVec> {
+              const ValueVec& outs = v.tuple()[1].tuple()[0].bag();
+              const double rank = v.tuple()[1].tuple()[1].AsDouble();
+              ValueVec out;
+              for (const Value& dst : outs) {
+                out.push_back(Value::MakePair(
+                    dst, D(rank / static_cast<double>(outs.size()))));
+              }
+              return out;
+            }));
+    DIABLO_ASSIGN_OR_RETURN(oracle::Parts summed,
+                            oracle::ReduceByKey(contribs, BinOp::kAdd, parts));
+    DIABLO_ASSIGN_OR_RETURN(
+        ranks, oracle::MapValues(summed, [](const Value& v) -> StatusOr<Value> {
+          return D(0.15 + 0.85 * v.AsDouble());
+        }));
+  }
+  return oracle::Collect(ranks);
+}
+
+StatusOr<ValueVec> RelationalMixOracle(const ValueVec& rows, int parts) {
+  const oracle::Parts ds = oracle::Parallelize(rows, parts);
+  DIABLO_ASSIGN_OR_RETURN(oracle::Parts sums,
+                          oracle::ReduceByKey(ds, BinOp::kAdd, parts));
+  ValueVec out = oracle::Collect(oracle::Join(ds, sums, parts));
+  const ValueVec cg_rows = oracle::Collect(oracle::CoGroup(ds, sums, parts));
+  DIABLO_ASSIGN_OR_RETURN(
+      oracle::Parts keys,
+      oracle::Map(ds, [](const Value& v) -> StatusOr<Value> {
+        return v.tuple()[0];
+      }));
+  const ValueVec uniq_rows = oracle::Collect(oracle::Distinct(keys, parts));
+  out.insert(out.end(), cg_rows.begin(), cg_rows.end());
+  out.insert(out.end(), uniq_rows.begin(), uniq_rows.end());
+  return out;
+}
+
 StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
                                const ValueVec& rows) {
   switch (which) {
@@ -225,6 +291,21 @@ StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
       return PageRankIters(engine, rows);
     default:
       return RelationalMix(engine, rows);
+  }
+}
+
+/// Word count folds ints; the PageRank and relational workloads fold
+/// doubles.
+bool FoldsDoubles(int which) { return which != 0; }
+
+StatusOr<ValueVec> RunOracle(int which, const ValueVec& rows, int parts) {
+  switch (which) {
+    case 0:
+      return WordCountOracle(rows, parts);
+    case 1:
+      return PageRankItersOracle(rows, parts);
+    default:
+      return RelationalMixOracle(rows, parts);
   }
 }
 
@@ -259,25 +340,24 @@ TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
       std::mt19937_64 rng(seed * 6151 + which + 1);
       ValueVec rows = WorkloadInput(which, rng);
       const int parts = 1 + static_cast<int>(rng() % 12);
+      auto want = RunOracle(which, rows, parts);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ValueVec serial_out;
       for (int host_threads : {1, 4}) {
-        for (bool fuse : {true, false}) {
-          EngineConfig hash_config;
-          hash_config.num_partitions = parts;
-          hash_config.host_threads = host_threads;
-          hash_config.fuse_narrow = fuse;
-          hash_config.hash_aggregation = true;
-          EngineConfig ordered_config = hash_config;
-          ordered_config.hash_aggregation = false;
-          ordered_config.persistent_pool = false;
-
-          Engine hash(hash_config), ordered(ordered_config);
-          auto hash_out = RunWorkload(hash, which, rows);
-          auto ordered_out = RunWorkload(ordered, which, rows);
-          ASSERT_TRUE(hash_out.ok()) << hash_out.status().ToString();
-          ASSERT_TRUE(ordered_out.ok()) << ordered_out.status().ToString();
-          EXPECT_EQ(*hash_out, *ordered_out)
-              << "workload " << which << " seed " << seed << " threads "
-              << host_threads << " fuse " << fuse;
+        EngineConfig config;
+        config.num_partitions = parts;
+        config.host_threads = host_threads;
+        Engine engine(config);
+        auto got = RunWorkload(engine, which, rows);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(oracle::MatchesOracle(*got, *want, FoldsDoubles(which)))
+            << "workload " << which << " seed " << seed << " threads "
+            << host_threads;
+        if (host_threads == 1) {
+          serial_out = *got;
+        } else {
+          EXPECT_EQ(*got, serial_out)
+              << "workload " << which << " seed " << seed;
         }
       }
     }
@@ -286,37 +366,34 @@ TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
 
 TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
   // Fault schedules key off (stage id, partition, attempt, row index) —
-  // coordinates the aggregation strategy does not change — so the same
-  // injected faults hit both paths and neither may diverge from the
-  // fault-free answer.
+  // coordinates the aggregation does not change — so a faulty run must
+  // reproduce the fault-free run byte for byte, and the fault-free run
+  // must match the oracle.
   for (int which = 0; which < 3; ++which) {
     for (uint64_t seed = 0; seed < 4; ++seed) {
       std::mt19937_64 rng(seed * 2741 + which + 11);
       ValueVec rows = WorkloadInput(which, rng);
 
       EngineConfig clean_config;
-      clean_config.hash_aggregation = false;
-      clean_config.persistent_pool = false;
       Engine clean(clean_config);
       auto expected = RunWorkload(clean, which, rows);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      auto want = RunOracle(which, rows, clean_config.num_partitions);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_TRUE(oracle::MatchesOracle(*expected, *want, FoldsDoubles(which)))
+          << "workload " << which << " seed " << seed;
 
-      for (bool hash_agg : {true, false}) {
-        EngineConfig faulty_config;
-        faulty_config.hash_aggregation = hash_agg;
-        faulty_config.host_threads = 4;
-        faulty_config.faults.seed = seed + 17;
-        faulty_config.faults.task_failure_rate = 0.08;
-        faulty_config.faults.corrupt_shuffle_rate = 0.01;
-        faulty_config.faults.max_task_attempts = 12;
-        faulty_config.serialize_shuffles = true;
-        Engine faulty(faulty_config);
-        auto got = RunWorkload(faulty, which, rows);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(*got, *expected)
-            << "workload " << which << " seed " << seed << " hash_agg "
-            << hash_agg;
-      }
+      EngineConfig faulty_config;
+      faulty_config.host_threads = 4;
+      faulty_config.faults.seed = seed + 17;
+      faulty_config.faults.task_failure_rate = 0.08;
+      faulty_config.faults.corrupt_shuffle_rate = 0.01;
+      faulty_config.faults.max_task_attempts = 12;
+      faulty_config.serialize_shuffles = true;
+      Engine faulty(faulty_config);
+      auto got = RunWorkload(faulty, which, rows);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *expected) << "workload " << which << " seed " << seed;
     }
   }
 }
@@ -348,6 +425,65 @@ TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
   EXPECT_GE(fired, 3);
 }
 
+TEST(HashAggProperty, EveryWideOperatorReplaysLostPartitions) {
+  // Each wide operator's output feeds a checkpoint; losing partitions of
+  // that input (and of every other stage input) rebuilds them through
+  // the operator's recompute_many replay — the restricted scatter plus
+  // the reduce body the forward tasks ran, over a pending fused chain.
+  // The rebuilt partitions must be byte-identical.
+  std::mt19937_64 rng(4242);
+  const ValueVec rows = WorkloadInput(/*which=*/2, rng);
+  using WideOp = std::function<StatusOr<Dataset>(Engine&, const Dataset&)>;
+  const std::vector<std::pair<std::string, WideOp>> ops = {
+      {"groupByKey",
+       [](Engine& e, const Dataset& ds) { return e.GroupByKey(ds); }},
+      {"reduceByKey",
+       [](Engine& e, const Dataset& ds) {
+         return e.ReduceByKey(ds, BinOp::kAdd);
+       }},
+      {"join",
+       [](Engine& e, const Dataset& ds) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(Dataset sums, e.ReduceByKey(ds, BinOp::kAdd));
+         return e.Join(ds, sums);
+       }},
+      {"coGroup",
+       [](Engine& e, const Dataset& ds) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(Dataset sums, e.ReduceByKey(ds, BinOp::kAdd));
+         return e.CoGroup(ds, sums);
+       }},
+      {"distinct",
+       [](Engine& e, const Dataset& ds) { return e.Distinct(ds); }},
+  };
+  for (const auto& [name, op] : ops) {
+    auto run = [&](const EngineConfig& config) -> StatusOr<ValueVec> {
+      Engine engine(config);
+      DIABLO_ASSIGN_OR_RETURN(
+          Dataset scaled,
+          engine.MapValues(engine.Parallelize(rows), BinOp::kMul, D(2.0)));
+      DIABLO_ASSIGN_OR_RETURN(Dataset wide, op(engine, scaled));
+      DIABLO_ASSIGN_OR_RETURN(Dataset durable, engine.Checkpoint(wide));
+      DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(durable));
+      if (config.faults.enabled() &&
+          engine.metrics().total_recomputed_partitions() == 0) {
+        return Status::RuntimeError("no partition was lost");
+      }
+      return out;
+    };
+    auto expected = run(EngineConfig{});
+    ASSERT_TRUE(expected.ok()) << name << ": " << expected.status().ToString();
+    EngineConfig lossy;
+    for (int stage = 0; stage < 16; ++stage) {
+      for (int input = 0; input < 2; ++input) {
+        lossy.faults.lose_partitions.push_back({stage, 1, input});
+        lossy.faults.lose_partitions.push_back({stage, 6, input});
+      }
+    }
+    auto got = run(lossy);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    EXPECT_EQ(*got, *expected) << name;
+  }
+}
+
 TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   // Distinct's dedup and its lost-partition replay both run on the
   // accumulator now; randomized faults plus a directed partition loss
@@ -369,6 +505,9 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   };
   const ValueVec expected = run(EngineConfig{});
   ASSERT_FALSE(expected.empty());
+  const int parts = EngineConfig{}.num_partitions;
+  EXPECT_EQ(expected, oracle::Collect(oracle::Distinct(
+                          oracle::Parallelize(rows, parts), parts)));
 
   EngineConfig faulty;
   faulty.faults.seed = 5;
@@ -376,28 +515,22 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   faulty.faults.max_task_attempts = 10;
   faulty.faults.lose_partitions.push_back({1, 3, 0});
   EXPECT_EQ(run(faulty), expected);
-
-  EngineConfig ordered = faulty;
-  ordered.hash_aggregation = false;
-  EXPECT_EQ(run(ordered), expected);
 }
 
 // ---------------------------------------------------------------------
 // Deterministic error selection (the RunPerPartition contract).
 
 TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
-  // Several partitions fail; the reported error must be the one from the
-  // lowest-indexed failing partition regardless of host_threads or
-  // whether the persistent pool or the spawn-per-wave path ran the wave.
+  // Several partitions fail inside one fused Force wave; the reported
+  // error must be the one from the lowest-indexed failing partition
+  // whether the wave runs inline (one thread) or on the worker pool.
   ValueVec rows;
   for (int i = 0; i < 160; ++i) rows.push_back(I(i));
 
-  auto run = [&](int host_threads, bool pool) {
+  auto run = [&](int host_threads) {
     EngineConfig config;
     config.num_partitions = 16;
     config.host_threads = host_threads;
-    config.persistent_pool = pool;
-    config.fuse_narrow = false;  // eager: the map wave itself fails
     Engine engine(config);
     Dataset ds = engine.Parallelize(rows);
     auto mapped = engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
@@ -408,44 +541,51 @@ TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
       }
       return v;
     });
-    return mapped.ok() ? Status::OK() : mapped.status();
+    if (!mapped.ok()) return mapped.status();
+    // The map is deferred; the Force wave runs it and must fail.
+    auto forced = engine.Force(*mapped);
+    return forced.ok() ? Status::OK() : forced.status();
   };
 
-  const Status expected = run(1, false);
+  const Status expected = run(1);
   ASSERT_FALSE(expected.ok());
   EXPECT_EQ(expected.message(), "bad row 72");
   for (int threads : {1, 2, 4, 8}) {
-    for (bool pool : {true, false}) {
-      for (int rep = 0; rep < 10; ++rep) {
-        const Status got = run(threads, pool);
-        ASSERT_FALSE(got.ok());
-        EXPECT_EQ(got.ToString(), expected.ToString())
-            << "threads " << threads << " pool " << pool;
-      }
+    for (int rep = 0; rep < 10; ++rep) {
+      const Status got = run(threads);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.ToString(), expected.ToString()) << "threads " << threads;
     }
   }
 }
 
 TEST(PersistentPool, ReusedAcrossStagesAndMatchesSpawn) {
-  // One engine drives a multi-stage program twice; the pool is created
-  // once and must keep producing results identical to the spawn path.
+  // One engine drives a multi-stage program three times. Its pool is
+  // created once and must run the tasks of several stages per round,
+  // with output byte-identical to the inline single-thread engine.
   std::mt19937_64 rng(2026);
   ValueVec rows = WorkloadInput(/*which=*/1, rng);
   EngineConfig pool_config;
   pool_config.host_threads = 4;
-  pool_config.persistent_pool = true;
-  EngineConfig spawn_config = pool_config;
-  spawn_config.persistent_pool = false;
+  EngineConfig inline_config;
+  inline_config.host_threads = 1;
 
-  Engine pooled(pool_config), spawning(spawn_config);
+  Engine pooled(pool_config), serial(inline_config);
   for (int round = 0; round < 3; ++round) {
     pooled.ResetRunState();
-    spawning.ResetRunState();
+    serial.ResetRunState();
     auto a = RunWorkload(pooled, 1, rows);
-    auto b = RunWorkload(spawning, 1, rows);
+    auto b = RunWorkload(serial, 1, rows);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     EXPECT_EQ(*a, *b) << "round " << round;
+    int pooled_stages = 0;
+    for (const StageStats& stage : pooled.metrics().stages()) {
+      if (stage.pool_tasks > 0) ++pooled_stages;
+    }
+    EXPECT_GT(pooled.metrics().total_pool_tasks(), 0) << "round " << round;
+    EXPECT_GT(pooled_stages, 1) << "round " << round;
+    EXPECT_EQ(serial.metrics().total_pool_tasks(), 0) << "round " << round;
   }
 }
 

@@ -18,6 +18,7 @@
 #include "runtime/engine.h"
 #include "runtime/profile.h"
 #include "runtime/serialize.h"
+#include "tests/engine_oracle.h"
 
 namespace diablo::runtime {
 namespace {
@@ -80,7 +81,14 @@ struct SkewCase {
   int partitions;
   int threads;
   bool columnar;
+  /// The rows reach the wide operator through a value filter that keeps
+  /// every row. true: the filter stays pending and fuses into the
+  /// operator's map side. false: Engine::Force runs it first as a wave of
+  /// its own, the eager shape of a narrow stage.
   bool fuse;
+  /// false: the salted result must also match the sequential oracle
+  /// (tests/engine_oracle.h), which aggregates through ordered std::maps
+  /// instead of the engine's hash tables.
   bool hash_agg;
 };
 
@@ -101,9 +109,33 @@ class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
     config.num_partitions = GetParam().partitions;
     config.host_threads = GetParam().threads;
     config.columnar = GetParam().columnar;
-    config.fuse_narrow = GetParam().fuse;
-    config.hash_aggregation = GetParam().hash_agg;
     return config;
+  }
+
+  /// The rows behind the pass-all value filter (see SkewCase::fuse).
+  Dataset Input(Engine& engine, const ValueVec& rows) const {
+    StatusOr<Dataset> in =
+        engine.FilterValues(engine.Parallelize(rows), BinOp::kGe, I(0));
+    if (in.ok() && !GetParam().fuse) in = engine.Force(*in);
+    EXPECT_TRUE(in.ok()) << in.status().ToString();
+    return in.ok() ? *in : engine.Parallelize({});
+  }
+
+  /// Without hash_agg, compares the engine's result with `aggregate`
+  /// applied to the oracle's partitioning of `rows` (the filter keeps
+  /// every row, so the oracle skips it).
+  template <typename Aggregate>
+  void ExpectOrderedAggregation(Engine& engine, const Dataset& got,
+                                const ValueVec& rows, Aggregate aggregate,
+                                bool folds_doubles = false) const {
+    if (GetParam().hash_agg) return;
+    StatusOr<ValueVec> engine_rows = engine.Collect(got);
+    ASSERT_TRUE(engine_rows.ok()) << engine_rows.status().ToString();
+    StatusOr<oracle::Parts> want =
+        aggregate(oracle::Parallelize(rows, GetParam().partitions));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(oracle::MatchesOracle(*engine_rows, oracle::Collect(*want),
+                                      folds_doubles));
   }
 };
 
@@ -112,33 +144,41 @@ TEST_P(SkewMatrixTest, ReduceByKeyByteIdentical) {
 
   Engine plain(Config(/*mitigate=*/false));
   StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
+      plain.ReduceByKey(Input(plain, rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
   EXPECT_EQ(plain.metrics().total_salt_fanout(), 0);
 
   Engine salted(Config(/*mitigate=*/true));
   StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
+      salted.ReduceByKey(Input(salted, rows), BinOp::kAdd);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
   // Whether this configuration actually salts depends on how the
   // map-side combine flattens the skew; the counter tests below pin
   // workloads that provably do. Here only byte-identity matters.
+  ExpectOrderedAggregation(salted, *got, rows, [&](const oracle::Parts& in) {
+    return oracle::ReduceByKey(in, BinOp::kAdd, GetParam().partitions);
+  });
 }
 
 TEST_P(SkewMatrixTest, GroupByKeyByteIdentical) {
   ValueVec rows = SkewedRows(12000, 32, 0.9);
 
   Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected = plain.GroupByKey(plain.Parallelize(rows));
+  StatusOr<Dataset> expected = plain.GroupByKey(Input(plain, rows));
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
   Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got = salted.GroupByKey(salted.Parallelize(rows));
+  StatusOr<Dataset> got = salted.GroupByKey(Input(salted, rows));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectOrderedAggregation(
+      salted, *got, rows,
+      [&](const oracle::Parts& in) -> StatusOr<oracle::Parts> {
+        return oracle::GroupByKey(in, GetParam().partitions);
+      });
 }
 
 TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
@@ -152,16 +192,17 @@ TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
   };
 
   Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), max_fn);
+  StatusOr<Dataset> expected = plain.ReduceByKey(Input(plain, rows), max_fn);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
   Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), max_fn);
+  StatusOr<Dataset> got = salted.ReduceByKey(Input(salted, rows), max_fn);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectOrderedAggregation(salted, *got, rows, [&](const oracle::Parts& in) {
+    return oracle::ReduceByKey(in, max_fn, GetParam().partitions);
+  });
 }
 
 TEST_P(SkewMatrixTest, StringKeysByteIdentical) {
@@ -169,15 +210,18 @@ TEST_P(SkewMatrixTest, StringKeysByteIdentical) {
 
   Engine plain(Config(/*mitigate=*/false));
   StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
+      plain.ReduceByKey(Input(plain, rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
   Engine salted(Config(/*mitigate=*/true));
   StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
+      salted.ReduceByKey(Input(salted, rows), BinOp::kAdd);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectOrderedAggregation(salted, *got, rows, [&](const oracle::Parts& in) {
+    return oracle::ReduceByKey(in, BinOp::kAdd, GetParam().partitions);
+  });
 }
 
 TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
@@ -192,15 +236,23 @@ TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
 
   Engine plain(Config(/*mitigate=*/false));
   StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
+      plain.ReduceByKey(Input(plain, rows), BinOp::kAdd);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   std::string want = Bytes(plain, *expected);
 
   Engine salted(Config(/*mitigate=*/true));
   StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
+      salted.ReduceByKey(Input(salted, rows), BinOp::kAdd);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(salted, *got), want);
+  // The oracle folds sequentially, the engine through map-side partials:
+  // only the salted-vs-unsalted comparison above is bit-exact.
+  ExpectOrderedAggregation(
+      salted, *got, rows,
+      [&](const oracle::Parts& in) {
+        return oracle::ReduceByKey(in, BinOp::kAdd, GetParam().partitions);
+      },
+      /*folds_doubles=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

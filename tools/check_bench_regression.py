@@ -6,7 +6,7 @@ Usage:
                               [--prefix NAME] [--pair FAST,SLOW,MIN_SPEEDUP]
 
 Fails (exit 1) when any benchmark matched by --prefix (default:
-BM_ReduceByKeyHot, the hash-aggregation hot path) is more than
+BM_ReduceByKeyHot, the engine's reduceByKey aggregation hot path) is more than
 --threshold percent (default: 20) slower than the committed baseline,
 by real_time per iteration. A gated benchmark present in the baseline
 but missing from the current run is a schema failure (exit 2): dropping

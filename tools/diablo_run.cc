@@ -39,14 +39,12 @@
 //   --no-skew                disable runtime skew mitigation (salting of
 //                            hot reduce tasks; SkewConfig::mitigate=0)
 //   --no-trace               disable span recording (EngineConfig::tracing)
-//   --no-fusion              eager narrow operators (fuse_narrow=0, AB6)
-//   --no-hash-agg            ordered-map shuffle aggregation
-//                            (hash_aggregation=0, AB7)
-//   --no-pool                spawn threads per wave (persistent_pool=0)
 //   --no-columnar            boxed per-row execution (columnar=0, AB9)
 //   --partitions N           engine partitions (default 8)
 //   --workers N              simulated cluster workers (default 4)
 //   --threads N              host threads executing partition tasks
+//                            (N > 1 runs them on the engine's persistent
+//                            worker pool; output never depends on N)
 //   --broadcast-mb N         enable broadcast joins for arrays <= N MB
 //   --serialize-shuffles     round-trip shuffled rows through the codec
 //   --fault-seed N           seed of the deterministic fault injector
@@ -346,12 +344,6 @@ int main(int argc, char** argv) {
       engine_config.skew.mitigate = false;
     } else if (arg == "--no-trace") {
       engine_config.tracing = false;
-    } else if (arg == "--no-fusion") {
-      engine_config.fuse_narrow = false;
-    } else if (arg == "--no-hash-agg") {
-      engine_config.hash_aggregation = false;
-    } else if (arg == "--no-pool") {
-      engine_config.persistent_pool = false;
     } else if (arg == "--no-columnar") {
       engine_config.columnar = false;
     } else if (arg == "--partitions") {
